@@ -1,5 +1,12 @@
 // rfidsql — an interactive shell over the deferred-cleansing engine.
 //
+// Every mode runs the same server session. Embedded (no arguments), the
+// shell starts an in-process server::Server that listens on no port and
+// talks to it over a socketpair; --connect talks to a remote server over
+// TCP. Either way each dot-command below is answered by the server's one
+// dispatcher and each query runs its one query path (plan cache, rewrite,
+// fragment stitch, admission), so the two modes print the same thing.
+//
 //   .gen <pallets> [dirty%]      generate RFIDGen data (+ anomalies)
 //   .feed <batches> <rows>       stream micro-batches through the ingest
 //                                pipeline (epoch snapshots published per
@@ -13,24 +20,37 @@
 //   .checkpoint                  write a checkpoint + truncate the log
 //   .recover <dir> [policy]      recovery-only .wal (errors if <dir> has
 //                                no durability manifest)
-//   .rule DEFINE ...;            define a cleansing rule (SQL-TS)
-//   .rules                       list defined rules and their templates
+//   .rule DEFINE ...             define a cleansing rule (SQL-TS) in this
+//                                session's catalog; a bare DEFINE ...;
+//                                statement (multi-line, ';'-terminated)
+//                                does the same
+//   .droprule <name>             drop a rule from this session's catalog
+//   .rules                       list this session's rules
 //   .lint                        static checks over the rule catalog
 //                                (duplicate names, unsatisfiable
 //                                conditions, DELETE/KEEP overlap,
-//                                correction-order races)
+//                                correction-order races); the same
+//                                findings print as warnings before a
+//                                query result, once per set of findings
 //   .strategy auto|expanded|joinback|naive|off
+//   .set <key> <value>           strategy, pushdown, explain, candidates
+//                                (on|off), deadline_ms, max_rows (0 = no
+//                                limit), snapshot hold|latest
 //   .explain on|off              print executed plans (with a
 //                                "fragments: hit=N miss=M" header when
 //                                the cleansed-fragment cache applied)
 //   .candidates on|off           print costed rewrite candidates and
 //                                per-region fragment hit/miss detail
-//   .cache [stats|on|off|clear]  cleansed-fragment cache control /
-//                                counters (plan cache too over --connect)
+//   .cache on|off|clear          plan cache control
+//   .cache fragment on|off|clear cleansed-fragment cache control
+//   .cache [stats]               plan- and fragment-cache counters
+//   .stats                       sessions, admission, cache and columnar
+//                                counters
 //   .tables / .schema <table>    catalog inspection
 //   .save <dir> / .load <dir>    persist / restore the database
 //   SELECT ...;                  run a query (rewritten per strategy)
-//   .quit
+//   .quit                        leave; the server drains, writing a
+//                                final checkpoint when a WAL is attached
 //
 // Also usable in batch mode: rfidsql < script.sql
 //
@@ -39,455 +59,28 @@
 //                                    SIGTERM drain in-flight queries,
 //                                    flush the WAL, and exit cleanly)
 //   rfidsql --connect host:port      the same shell against a remote
-//                                    server: every dot-command and query
-//                                    above works unchanged, each
-//                                    connection being its own session
-//                                    with its own rule catalog
-#include <chrono>
+//                                    server, each connection being its
+//                                    own session with its own rule
+//                                    catalog
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "cache/fragment_cache.h"
 #include "common/string_util.h"
-#include "ingest/ingest.h"
-#include "plan/planner.h"
-#include "rewrite/fragment_stitch.h"
-#include "rewrite/rewriter.h"
-#include "rfidgen/anomaly.h"
-#include "rfidgen/stream.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "storage/persist.h"
-#include "sql/render.h"
-#include "verify/rule_linter.h"
-#include "wal/wal_manager.h"
 
 using namespace rfid;
 
 namespace {
 
-struct ShellState {
-  Database db;
-  std::unique_ptr<CleansingRuleEngine> rules;
-  RewriteStrategy strategy = RewriteStrategy::kAuto;
-  bool rewriting_enabled = true;
-  bool explain = false;
-  bool show_candidates = false;
-
-  // Streaming ingest state (created lazily by .feed).
-  std::unique_ptr<rfidgen::ReadStream> stream;
-  std::unique_ptr<ingest::IngestPipeline> pipeline;
-  uint64_t feed_generation = 0;
-
-  // Cleansed-fragment cache: memoizes rule-applied regions of the read
-  // store across queries; .feed invalidates only the touched regions.
-  cache::FragmentCache fragment_cache;
-
-  // Durability (created by .wal / .recover; outlives the pipeline).
-  std::unique_ptr<wal::WalManager> wal;
-
-  ShellState() { rules = std::make_unique<CleansingRuleEngine>(&db); }
-};
-
-void PrintTable(const QueryResult& res, size_t max_rows = 40) {
-  std::vector<size_t> widths;
-  for (size_t i = 0; i < res.desc.num_fields(); ++i) {
-    widths.push_back(res.desc.field(i).name.size());
-  }
-  std::vector<std::vector<std::string>> cells;
-  for (size_t r = 0; r < res.rows.size() && r < max_rows; ++r) {
-    std::vector<std::string> row;
-    for (size_t c = 0; c < res.rows[r].size(); ++c) {
-      row.push_back(res.rows[r][c].ToString());
-      widths[c] = std::max(widths[c], row.back().size());
-    }
-    cells.push_back(std::move(row));
-  }
-  for (size_t i = 0; i < widths.size(); ++i) {
-    printf("%-*s  ", static_cast<int>(widths[i]), res.desc.field(i).name.c_str());
-  }
-  printf("\n");
-  for (size_t i = 0; i < widths.size(); ++i) {
-    printf("%s  ", std::string(widths[i], '-').c_str());
-  }
-  printf("\n");
-  for (const auto& row : cells) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());
-    }
-    printf("\n");
-  }
-  if (res.rows.size() > max_rows) {
-    printf("... (%zu more rows)\n", res.rows.size() - max_rows);
-  }
-  printf("(%zu rows)\n", res.rows.size());
-}
-
-void RunSql(ShellState& state, const std::string& sql) {
-  // Pin the latest ingest snapshot (when a pipeline exists) so the query
-  // — both its cost-based rewrite choice and its execution — is isolated
-  // from batches published while it runs.
-  ExecContext ctx;
-  if (state.pipeline != nullptr) {
-    ctx.set_snapshot(state.pipeline->snapshot());
-  }
-  std::string final_sql = sql;
-  if (state.rewriting_enabled && !state.rules->rules().empty()) {
-    QueryRewriter rewriter(&state.db, state.rules.get());
-    RewriteOptions opts;
-    opts.strategy = state.strategy;
-    opts.exec_context = &ctx;
-    auto info = rewriter.Rewrite(sql, opts);
-    if (!info.ok()) {
-      printf("rewrite error: %s\n", info.status().ToString().c_str());
-      return;
-    }
-    // Lint findings are warnings: the rewrite proceeds, but rules whose
-    // outcome depends on creation order (or that can never fire) are
-    // worth seeing next to every query they cleansed.
-    for (const LintFinding& f : info->lint) {
-      printf("warning: %s\n", f.ToString().c_str());
-    }
-    if (info->chosen != RewriteStrategy::kNone) {
-      printf("[rewritten: %s strategy, est. cost %.0f]\n",
-             RewriteStrategyName(info->chosen), info->estimated_cost);
-      if (state.show_candidates) {
-        for (const RewriteCandidate& c : info->candidates) {
-          printf("  candidate %-36s cost %12.0f\n", c.label.c_str(),
-                 c.estimated_cost);
-        }
-      }
-    }
-    final_sql = info->sql;
-  }
-  // Fragment stitch: execution-level substitution under the rewrite
-  // decision. Hit regions reuse cached cleansed rows; miss regions run
-  // region-scoped cleansing chains that refill the cache; UNION ALL
-  // stitches the regions back in order. Bit-identical to the rewrite.
-  std::string fragment_note;
-  if (state.rewriting_enabled && !state.rules->rules().empty() &&
-      state.fragment_cache.enabled()) {
-    auto stitch = StitchWithFragmentCache(sql, &state.db, *state.rules,
-                                          &state.fragment_cache, &ctx);
-    if (stitch.ok() && stitch->used) {
-      final_sql = stitch->sql;
-      fragment_note = StrFormat("fragments: hit=%zu miss=%zu", stitch->hits,
-                                stitch->misses);
-      if (state.show_candidates) {
-        for (const FragmentRegionDetail& r : stitch->regions) {
-          fragment_note += StrFormat("\n  region %-4zu %-28s %s", r.region,
-                                     r.range.c_str(), r.hit ? "hit" : "miss");
-        }
-      }
-    } else if (stitch.ok() && state.show_candidates) {
-      fragment_note =
-          StrFormat("fragments: not used (%s)", stitch->reason.c_str());
-    }
-  }
-  auto start = std::chrono::steady_clock::now();
-  auto res = ExecuteSql(state.db, final_sql, &ctx);
-  auto end = std::chrono::steady_clock::now();
-  if (!res.ok()) {
-    printf("error: %s\n", res.status().ToString().c_str());
-    return;
-  }
-  PrintTable(*res);
-  printf("%.1f ms\n", std::chrono::duration<double, std::milli>(end - start).count());
-  if (state.explain) {
-    if (!fragment_note.empty()) printf("\n%s\n", fragment_note.c_str());
-    printf("\n%s", res->explain.c_str());
-  }
-}
-
-void RunCommand(ShellState& state, const std::string& line) {
-  std::istringstream in(line);
-  std::string cmd;
-  in >> cmd;
-  if (cmd == ".quit" || cmd == ".exit") {
-    exit(0);
-  }
-  if (cmd == ".gen") {
-    int64_t pallets = 20;
-    double dirty = 10;
-    in >> pallets >> dirty;
-    rfidgen::GeneratorOptions gen;
-    gen.num_pallets = pallets;
-    auto g = rfidgen::Generate(gen, &state.db);
-    if (!g.ok()) {
-      printf("error: %s\n", g.status().ToString().c_str());
-      return;
-    }
-    rfidgen::AnomalyOptions anomalies;
-    anomalies.dirty_fraction = dirty / 100.0;
-    auto a = rfidgen::InjectAnomalies(anomalies, &state.db);
-    if (!a.ok()) {
-      printf("error: %s\n", a.status().ToString().c_str());
-      return;
-    }
-    state.fragment_cache.Clear();  // bulk mutation breaks append-only
-    printf("generated %lld case reads across %lld cases; injected %lld "
-           "anomalies (%.0f%%)\n",
-           static_cast<long long>(g->case_reads),
-           static_cast<long long>(g->cases),
-           static_cast<long long>(a->total()), dirty);
-    return;
-  }
-  if (cmd == ".feed") {
-    int64_t batches = 10;
-    int64_t rows = 256;
-    in >> batches >> rows;
-    if (batches <= 0 || rows <= 0) {
-      printf("usage: .feed <batches> <rows_per_batch>\n");
-      return;
-    }
-    if (state.stream == nullptr || state.stream->exhausted()) {
-      rfidgen::StreamOptions opt;
-      opt.seed = 20060912 + state.feed_generation++;
-      auto stream = rfidgen::ReadStream::Create(&state.db, opt);
-      if (!stream.ok()) {
-        printf("error: %s\n", stream.status().ToString().c_str());
-        return;
-      }
-      state.stream = std::move(*stream);
-    }
-    if (state.pipeline == nullptr) {
-      state.pipeline = std::make_unique<ingest::IngestPipeline>(
-          &state.db, /*accounting=*/nullptr, /*index_compact_threshold=*/8,
-          state.wal.get());
-      state.pipeline->set_fragment_cache(&state.fragment_cache);
-    }
-    uint64_t applied = 0;
-    uint64_t fed_rows = 0;
-    for (int64_t i = 0; i < batches && !state.stream->exhausted(); ++i) {
-      rfidgen::StreamBatch b =
-          state.stream->NextBatch(static_cast<size_t>(rows));
-      fed_rows += b.total_rows();
-      std::vector<ingest::TableBatch> group;
-      group.push_back({"caseR", std::move(b.case_rows)});
-      group.push_back({"palletR", std::move(b.pallet_rows)});
-      group.push_back({"parent", std::move(b.parent_rows)});
-      group.push_back({"epc_info", std::move(b.info_rows)});
-      Status st = state.pipeline->Apply(std::move(group));
-      if (!st.ok()) {
-        printf("ingest error: %s\n", st.ToString().c_str());
-        return;
-      }
-      ++applied;
-    }
-    const Table* case_r = state.db.GetTable("caseR");
-    printf("fed %llu batches (%llu rows); epoch %llu; caseR now %llu rows%s\n",
-           static_cast<unsigned long long>(applied),
-           static_cast<unsigned long long>(fed_rows),
-           static_cast<unsigned long long>(state.pipeline->epoch()),
-           static_cast<unsigned long long>(
-               case_r != nullptr ? case_r->visible_rows() : 0),
-           state.stream->exhausted() ? " (stream exhausted)" : "");
-    return;
-  }
-  if (cmd == ".save" || cmd == ".load") {
-    std::string dir;
-    in >> dir;
-    if (dir.empty()) {
-      printf("usage: %s <directory>\n", cmd.c_str());
-      return;
-    }
-    if (cmd == ".save") {
-      Status st = SaveDatabase(state.db, dir);
-      printf("%s\n", st.ok() ? "saved" : st.ToString().c_str());
-    } else {
-      Status st = LoadDatabase(dir, &state.db, /*skip_existing=*/true);
-      if (st.ok()) st = rfidgen::FinalizeDatabase(&state.db);
-      state.fragment_cache.Clear();
-      printf("%s\n", st.ok() ? "loaded" : st.ToString().c_str());
-    }
-    return;
-  }
-  if (cmd == ".wal" || cmd == ".recover") {
-    std::string dir, policy_name;
-    in >> dir >> policy_name;
-    if (dir.empty()) {
-      printf("usage: %s <directory> [always|epoch|off]\n", cmd.c_str());
-      return;
-    }
-    wal::WalOptions options;
-    if (policy_name == "always") {
-      options.fsync_policy = wal::FsyncPolicy::kAlways;
-    } else if (policy_name == "off") {
-      options.fsync_policy = wal::FsyncPolicy::kOff;
-    } else if (!policy_name.empty() && policy_name != "epoch") {
-      printf("usage: %s <directory> [always|epoch|off]\n", cmd.c_str());
-      return;
-    }
-    // Recovery loads tables from the checkpoint image; they must not
-    // clash with tables already in the shell's database. The shell
-    // pre-creates an empty `__rules` system table, and a checkpoint
-    // image carries its own copy — drop ours while it is still pristine
-    // and re-attach the rule engine below (its constructor adopts the
-    // recovered table, or recreates an empty one on a fresh attach).
-    Table* rules_tb = state.db.GetTable("__rules");
-    if (rules_tb != nullptr && rules_tb->num_rows() == 0) {
-      state.rules.reset();
-      (void)state.db.DropTable("__rules");
-    }
-    auto manager = wal::WalManager::Open(dir, &state.db, options);
-    if (state.rules == nullptr) {
-      state.rules = std::make_unique<CleansingRuleEngine>(&state.db);
-    }
-    if (!manager.ok()) {
-      printf("error: %s\n", manager.status().ToString().c_str());
-      return;
-    }
-    if (cmd == ".recover" && !(*manager)->recovery().recovered) {
-      printf("error: %s holds no durability manifest (use .wal to create "
-             "one)\n", dir.c_str());
-      return;
-    }
-    state.pipeline.reset();  // rebuilt WAL-backed by the next .feed
-    state.fragment_cache.Clear();  // replay / pipeline swap: start fresh
-    state.wal = std::move(*manager);
-    const wal::RecoveryResult& r = state.wal->recovery();
-    if (r.recovered) {
-      printf("recovered: checkpoint epoch %llu + %llu replayed epoch%s "
-             "(%llu rows)%s; fsync=%s\n",
-             static_cast<unsigned long long>(r.checkpoint_epoch),
-             static_cast<unsigned long long>(r.replayed_epochs),
-             r.replayed_epochs == 1 ? "" : "s",
-             static_cast<unsigned long long>(r.replayed_rows),
-             r.truncated_bytes > 0
-                 ? (" (" + std::to_string(r.truncated_bytes) +
-                    " tail bytes truncated)").c_str()
-                 : "",
-             wal::FsyncPolicyName(state.wal->fsync_policy()));
-    } else {
-      printf("durability attached at %s (checkpoint 0 written); fsync=%s\n",
-             dir.c_str(), wal::FsyncPolicyName(state.wal->fsync_policy()));
-    }
-    return;
-  }
-  if (cmd == ".checkpoint") {
-    if (state.wal == nullptr) {
-      printf("error: no durability directory attached (use .wal <dir>)\n");
-      return;
-    }
-    Status st = state.pipeline != nullptr ? state.pipeline->Checkpoint()
-                                          : state.wal->Checkpoint();
-    if (st.ok()) {
-      printf("checkpoint written at epoch %llu; log truncated\n",
-             static_cast<unsigned long long>(state.wal->durable_epoch()));
-    } else {
-      printf("error: %s\n", st.ToString().c_str());
-    }
-    return;
-  }
-  if (cmd == ".rules") {
-    auto res = ExecuteSql(state.db,
-                          "SELECT seq, name, on_table, action FROM __rules");
-    if (res.ok()) PrintTable(*res);
-    return;
-  }
-  if (cmd == ".lint") {
-    std::vector<LintFinding> findings = LintRules(state.rules->rules());
-    for (const LintFinding& f : findings) {
-      printf("%s\n", f.ToString().c_str());
-    }
-    printf("(%zu finding%s over %zu rule%s)\n", findings.size(),
-           findings.size() == 1 ? "" : "s", state.rules->rules().size(),
-           state.rules->rules().size() == 1 ? "" : "s");
-    return;
-  }
-  if (cmd == ".strategy") {
-    std::string which;
-    in >> which;
-    if (which == "auto") state.strategy = RewriteStrategy::kAuto;
-    else if (which == "expanded") state.strategy = RewriteStrategy::kExpanded;
-    else if (which == "joinback") state.strategy = RewriteStrategy::kJoinBack;
-    else if (which == "naive") state.strategy = RewriteStrategy::kNaive;
-    else if (which == "off") state.rewriting_enabled = false;
-    else {
-      printf("usage: .strategy auto|expanded|joinback|naive|off\n");
-      return;
-    }
-    if (which != "off") state.rewriting_enabled = true;
-    printf("strategy = %s%s\n", which.c_str(),
-           state.rewriting_enabled ? "" : " (queries run on dirty data)");
-    return;
-  }
-  if (cmd == ".explain" || cmd == ".candidates") {
-    std::string flag;
-    in >> flag;
-    bool value = flag == "on";
-    if (cmd == ".explain") state.explain = value;
-    else state.show_candidates = value;
-    printf("%s = %s\n", cmd.c_str() + 1, value ? "on" : "off");
-    return;
-  }
-  if (cmd == ".cache") {
-    std::string arg;
-    in >> arg;
-    if (arg == "on" || arg == "off" || (arg == "fragment" && (in >> arg))) {
-      if (arg == "clear") {
-        state.fragment_cache.Clear();
-        printf("fragment cache cleared\n");
-        return;
-      }
-      state.fragment_cache.set_enabled(arg == "on");
-      printf("fragment cache %s\n", arg.c_str());
-      return;
-    }
-    if (arg == "clear") {
-      state.fragment_cache.Clear();
-      printf("fragment cache cleared\n");
-      return;
-    }
-    if (arg == "stats" || arg.empty()) {
-      cache::FragmentCache::Stats f = state.fragment_cache.stats();
-      printf("fragment cache: %s, %zu entries, %llu hits, %llu misses, "
-             "%llu invalidations, %llu evictions, %llu inserts, "
-             "%llu resident bytes\n",
-             state.fragment_cache.enabled() ? "on" : "off", f.entries,
-             static_cast<unsigned long long>(f.hits),
-             static_cast<unsigned long long>(f.misses),
-             static_cast<unsigned long long>(f.invalidations),
-             static_cast<unsigned long long>(f.evictions),
-             static_cast<unsigned long long>(f.inserts),
-             static_cast<unsigned long long>(f.resident_bytes));
-      return;
-    }
-    printf("usage: .cache on|off|clear|stats | .cache fragment on|off|clear\n");
-    return;
-  }
-  if (cmd == ".tables") {
-    for (const std::string& name : state.db.TableNames()) {
-      const Table* t = state.db.GetTable(name);
-      printf("%-12s %8zu rows\n", name.c_str(), t->num_rows());
-    }
-    return;
-  }
-  if (cmd == ".schema") {
-    std::string table;
-    in >> table;
-    const Table* t = state.db.GetTable(table);
-    if (t == nullptr) {
-      printf("no such table: %s\n", table.c_str());
-      return;
-    }
-    printf("%s %s\n", t->name().c_str(), t->schema().ToString().c_str());
-    return;
-  }
-  printf("unknown command: %s\n", cmd.c_str());
-}
-
-// --- remote mode (--connect) ---
-
-void PrintRemoteRows(const server::RowsPayload& rows, size_t max_rows = 40) {
-  if (!rows.warnings.empty()) {
-    std::istringstream lines(rows.warnings);
-    std::string w;
-    while (std::getline(lines, w)) printf("warning: %s\n", w.c_str());
-  }
+void PrintRows(const server::RowsPayload& rows, size_t max_rows = 40) {
   if (!rows.rewrite_note.empty()) printf("%s\n", rows.rewrite_note.c_str());
   std::vector<size_t> widths;
   for (const Field& f : rows.fields) widths.push_back(f.name.size());
@@ -523,12 +116,24 @@ void PrintRemoteRows(const server::RowsPayload& rows, size_t max_rows = 40) {
   if (!rows.explain.empty()) printf("\n%s", rows.explain.c_str());
 }
 
-int RunRemoteShell(server::Client& client) {
-  bool interactive = isatty(0);
-  if (interactive) {
-    printf("rfidsql — connected (session %llu). '.quit' to leave.\n",
-           static_cast<unsigned long long>(client.session_id()));
+void PrintCommand(server::Client& client, const std::string& line) {
+  auto text = client.Command(line);
+  if (text.ok()) {
+    printf("%s\n", text->c_str());
+  } else {
+    printf("error: %s\n", text.status().ToString().c_str());
   }
+}
+
+/// The one REPL: dot-commands and rule definitions go to the server's
+/// dispatcher, ';'-terminated statements to its query path.
+void RunShell(server::Client& client, const std::string& banner) {
+  bool interactive = isatty(0);
+  if (interactive) printf("%s '.quit' to leave.\n", banner.c_str());
+  // Lint findings belong to the rule catalog, not to one query: a set is
+  // printed before the first result it accompanies and again only after
+  // the catalog's findings change.
+  std::string last_warnings;
   std::string buffer;
   std::string line;
   while (true) {
@@ -547,15 +152,9 @@ int RunRemoteShell(server::Client& client) {
     if (buffer.empty() && trimmed.empty()) continue;
     if (buffer.empty() && trimmed[0] == '.') {
       if (trimmed.rfind(".quit", 0) == 0 || trimmed.rfind(".exit", 0) == 0) {
-        (void)client.Quit();
-        return 0;
+        break;
       }
-      auto text = client.Command(trimmed);
-      if (text.ok()) {
-        printf("%s\n", text->c_str());
-      } else {
-        printf("error: %s\n", text.status().ToString().c_str());
-      }
+      PrintCommand(client, trimmed);
       continue;
     }
     buffer += line + "\n";
@@ -568,26 +167,24 @@ int RunRemoteShell(server::Client& client) {
     }
     if (stmt.empty()) continue;
     std::string head = stmt.substr(0, stmt.find_first_of(" \t\n"));
-    if (EqualsIgnoreCase(head, ".rule") || EqualsIgnoreCase(head, "define")) {
-      std::string cmd_text =
-          EqualsIgnoreCase(head, ".rule") ? stmt : (".rule " + stmt);
-      auto text = client.Command(cmd_text);
-      if (text.ok()) {
-        printf("%s\n", text->c_str());
-      } else {
-        printf("%s\n", text.status().ToString().c_str());
-      }
+    if (EqualsIgnoreCase(head, "define")) {
+      PrintCommand(client, ".rule " + stmt);
       continue;
     }
     auto rows = client.Query(stmt);
-    if (rows.ok()) {
-      PrintRemoteRows(*rows);
-    } else {
+    if (!rows.ok()) {
       printf("error: %s\n", rows.status().ToString().c_str());
+      continue;
     }
+    if (rows->warnings != last_warnings) {
+      std::istringstream lines(rows->warnings);
+      std::string w;
+      while (std::getline(lines, w)) printf("warning: %s\n", w.c_str());
+      last_warnings = rows->warnings;
+    }
+    PrintRows(*rows);
   }
   (void)client.Quit();
-  return 0;
 }
 
 /// Splits "host:port" or bare "port" (host defaults to 127.0.0.1).
@@ -606,6 +203,17 @@ bool ParseEndpoint(const std::string& arg, std::string* host, int* port) {
   }
   *port = static_cast<int>(n);
   return true;
+}
+
+/// Reports the drain's final WAL flush; the exit code of both server-
+/// owning modes.
+int FlushStatusExit(const server::Server& srv) {
+  Status flush = srv.final_flush_status();
+  if (!flush.ok()) {
+    fprintf(stderr, "shutdown flush error: %s\n", flush.ToString().c_str());
+    return 1;
+  }
+  return 0;
 }
 
 int RunServe(const std::string& endpoint) {
@@ -627,11 +235,7 @@ int RunServe(const std::string& endpoint) {
   fflush(stdout);
   (*srv)->InstallSignalHandlers();
   (*srv)->WaitForShutdown();
-  Status flush = (*srv)->final_flush_status();
-  if (!flush.ok()) {
-    fprintf(stderr, "shutdown flush error: %s\n", flush.ToString().c_str());
-    return 1;
-  }
+  if (FlushStatusExit(**srv) != 0) return 1;
   printf("server stopped\n");
   return 0;
 }
@@ -649,7 +253,26 @@ int RunConnect(const std::string& endpoint) {
     fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
     return 1;
   }
-  return RunRemoteShell(**client);
+  RunShell(**client, StrFormat("rfidsql — connected (session %llu).",
+                                static_cast<unsigned long long>(
+                                    (*client)->session_id())));
+  return 0;
+}
+
+/// Embedded mode: an in-process server that listens on no port, one
+/// local session on it, and the same REPL as --connect.
+int RunEmbedded() {
+  std::unique_ptr<server::Server> srv =
+      server::Server::StartLocal(server::ServerOptions());
+  auto client = srv->ConnectLocal();
+  if (!client.ok()) {
+    fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
+    return 1;
+  }
+  RunShell(**client,
+           "rfidsql — deferred cleansing shell. '.gen 20 10' to make data,");
+  srv->Shutdown();
+  return FlushStatusExit(*srv);
 }
 
 }  // namespace
@@ -670,52 +293,5 @@ int main(int argc, char** argv) {
             "usage: rfidsql [--serve [host:]port | --connect host:port]\n");
     return 1;
   }
-  ShellState state;
-  bool interactive = isatty(0);
-  if (interactive) {
-    printf("rfidsql — deferred cleansing shell. '.gen 20 10' to make data, "
-           "'.quit' to leave.\n");
-  }
-  std::string buffer;
-  std::string line;
-  while (true) {
-    if (interactive) {
-      printf(buffer.empty() ? "rfid> " : "  ... ");
-      fflush(stdout);
-    }
-    if (!std::getline(std::cin, line)) break;
-    // Strip comments and whitespace.
-    size_t comment = line.find("--");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    std::string trimmed = line;
-    while (!trimmed.empty() && isspace(static_cast<unsigned char>(trimmed.front()))) {
-      trimmed.erase(trimmed.begin());
-    }
-    if (buffer.empty() && trimmed.empty()) continue;
-    if (buffer.empty() && trimmed[0] == '.') {
-      RunCommand(state, trimmed);
-      continue;
-    }
-    buffer += line + "\n";
-    if (trimmed.empty() || trimmed.back() != ';') continue;
-    // Complete statement.
-    std::string stmt = buffer;
-    buffer.clear();
-    while (!stmt.empty() &&
-           (isspace(static_cast<unsigned char>(stmt.back())) || stmt.back() == ';')) {
-      stmt.pop_back();
-    }
-    if (stmt.empty()) continue;
-    // Rule definition or query?
-    std::string head = stmt.substr(0, stmt.find_first_of(" \t\n"));
-    if (EqualsIgnoreCase(head, ".rule") || EqualsIgnoreCase(head, "define")) {
-      std::string rule_text =
-          EqualsIgnoreCase(head, ".rule") ? stmt.substr(5) : stmt;
-      Status st = state.rules->DefineRule(rule_text);
-      printf("%s\n", st.ok() ? "rule defined" : st.ToString().c_str());
-      continue;
-    }
-    RunSql(state, stmt);
-  }
-  return 0;
+  return RunEmbedded();
 }

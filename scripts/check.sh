@@ -197,20 +197,26 @@ if [ "$QUICK" -eq 0 ]; then
   # server while a third client is mid-query. The drain must exit 0
   # (final WAL checkpoint flushed) and a fresh embedded shell must
   # recover the fed rows.
+  # The server binds an ephemeral port (127.0.0.1:0) and the clients
+  # read the bound one from its "serving on" line, so concurrent runs
+  # never collide on a fixed port.
   SRVDIR="$(mktemp -d)"
-  ./build/examples/rfidsql --serve 127.0.0.1:20061 > "$SRVDIR/server.log" 2>&1 &
+  ./build/examples/rfidsql --serve 127.0.0.1:0 > "$SRVDIR/server.log" 2>&1 &
   SRVPID=$!
+  SRVPORT=""
   for _ in $(seq 1 100); do
-    grep -q "serving on" "$SRVDIR/server.log" && break
+    SRVPORT="$(sed -n 's/.*serving on [0-9.]*:\([0-9][0-9]*\) .*/\1/p' "$SRVDIR/server.log")"
+    [ -n "$SRVPORT" ] && break
     sleep 0.1
   done
+  [ -n "$SRVPORT" ]
   printf '.wal %s epoch\n.feed 4 200\n.quit\n' "$SRVDIR/wal" \
-    | ./build/examples/rfidsql --connect 127.0.0.1:20061 > "$SRVDIR/seed.log"
+    | ./build/examples/rfidsql --connect "127.0.0.1:$SRVPORT" > "$SRVDIR/seed.log"
   printf '.rule DEFINE duplicate ON caseR CLUSTER BY epc SEQUENCE BY rtime AS (A, B) WHERE A.biz_loc = B.biz_loc AND B.rtime - A.rtime < 5 MINUTES ACTION DELETE B\nSELECT count(*) FROM caseR;\nSELECT count(*) FROM caseR;\n.cache stats\n.quit\n' \
-    | ./build/examples/rfidsql --connect 127.0.0.1:20061 > "$SRVDIR/c1.log" &
+    | ./build/examples/rfidsql --connect "127.0.0.1:$SRVPORT" > "$SRVDIR/c1.log" &
   C1=$!
   printf 'SELECT count(*) FROM caseR;\n.quit\n' \
-    | ./build/examples/rfidsql --connect 127.0.0.1:20061 > "$SRVDIR/c2.log"
+    | ./build/examples/rfidsql --connect "127.0.0.1:$SRVPORT" > "$SRVDIR/c2.log"
   wait "$C1"
   grep -q "rows)" "$SRVDIR/c1.log"
   grep -q "rows)" "$SRVDIR/c2.log"
@@ -221,14 +227,18 @@ if [ "$QUICK" -eq 0 ]; then
   # the SIGTERM lands while this client's work is in flight; the client
   # is expected to die with "server shutting down" or a closed socket.
   printf '.debug_hold 5000\n.quit\n' \
-    | ./build/examples/rfidsql --connect 127.0.0.1:20061 > /dev/null 2>&1 &
+    | ./build/examples/rfidsql --connect "127.0.0.1:$SRVPORT" > /dev/null 2>&1 &
   C3=$!
   sleep 0.5
   kill -TERM "$SRVPID"
   wait "$SRVPID"                     # set -e: non-zero drain fails here
   wait "$C3" || true
+  # The transcript goes to a file before the grep: `rfidsql | grep -q`
+  # under pipefail fails whenever grep exits before the shell's last
+  # write (SIGPIPE), which is a race, not a recovery failure.
   printf '.recover %s\nSELECT count(*) FROM caseR;\n.quit\n' "$SRVDIR/wal" \
-    | ./build/examples/rfidsql | grep -q "recovered"
+    | ./build/examples/rfidsql > "$SRVDIR/recover.log"
+  grep -q "recovered" "$SRVDIR/recover.log"
   rm -rf "$SRVDIR"
 fi
 

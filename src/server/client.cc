@@ -34,6 +34,10 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
     ::close(fd);
     return st;
   }
+  return Open(fd);
+}
+
+Result<std::unique_ptr<Client>> Client::Open(int fd) {
   std::unique_ptr<Client> client(new Client(fd));
   std::string hello;
   PutU32(&hello, kProtocolVersion);

@@ -24,6 +24,11 @@ class Client {
   static Result<std::unique_ptr<Client>> Connect(const std::string& host,
                                                  int port);
 
+  /// Takes ownership of an already-connected stream socket (TCP, or one
+  /// end of a socketpair from Server::ConnectLocal) and performs the same
+  /// HELLO/WELCOME handshake as Connect.
+  static Result<std::unique_ptr<Client>> Open(int fd);
+
   ~Client();
 
   Client(const Client&) = delete;

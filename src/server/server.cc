@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "rewrite/rewriter.h"
 #include "rfidgen/anomaly.h"
 #include "rfidgen/rfidgen.h"
+#include "server/client.h"
 #include "sql/parser.h"
 #include "storage/persist.h"
 #include "verify/rule_linter.h"
@@ -117,6 +119,26 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   if (!st.ok()) return st;
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
+}
+
+std::unique_ptr<Server> Server::StartLocal(ServerOptions options) {
+  return std::unique_ptr<Server>(new Server(std::move(options)));
+}
+
+Result<std::unique_ptr<Client>> Server::ConnectLocal() {
+  ReapConnections();
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return Status::Internal(
+        StrFormat("socketpair failed: %s", std::strerror(errno)));
+  }
+  Status st = AddConnection(fds[0]);
+  if (!st.ok()) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return st;
+  }
+  return Client::Open(fds[1]);
 }
 
 Status Server::Listen() {
@@ -223,35 +245,25 @@ void Server::Shutdown() {
         (void)::shutdown(conn->fd, SHUT_RD);
       }
     }
-    auto drain = [this] {
-      while (true) {
-        std::unique_ptr<Connection> conn;
-        {
-          MutexLock lock(&conns_mu_);
-          if (conns_.empty()) break;
-          conn = std::move(conns_.front());
-          conns_.pop_front();
-        }
-        if (conn->thread.joinable()) conn->thread.join();
-        ::close(conn->fd);
+    while (true) {
+      std::unique_ptr<Connection> conn;
+      {
+        MutexLock lock(&conns_mu_);
+        if (conns_.empty()) break;
+        conn = std::move(conns_.front());
+        conns_.pop_front();
       }
-    };
-    drain();
+      if (conn->thread.joinable()) conn->thread.join();
+      ::close(conn->fd);
+    }
     // The accept thread kept refusing new connections with ERROR frames
-    // during the drain above; now stop it and catch any straggler it
-    // admitted between the first drain and its exit.
+    // during the drain above (AddConnection refuses once `refusing_` is
+    // up, so no connection joins conns_ after it); now stop it.
     accept_stop_.store(true, std::memory_order_release);
     char byte = 0;
     ssize_t ignored = ::write(wake_fd_[1], &byte, 1);
     (void)ignored;
     if (accept_thread_.joinable()) accept_thread_.join();
-    {
-      MutexLock lock(&conns_mu_);
-      for (const auto& conn : conns_) {
-        (void)::shutdown(conn->fd, SHUT_RD);
-      }
-    }
-    drain();
     // Durability flush: a final checkpoint makes every published epoch
     // part of the base image, so restart recovery is instant.
     Status flush = Status::OK();
@@ -315,27 +327,30 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    if (refusing_.load(std::memory_order_acquire)) {
-      SendError(fd, Status::Cancelled("server shutting down"));
+    Status st = AddConnection(fd);
+    if (!st.ok()) {
+      SendError(fd, st);
       ::close(fd);
-      continue;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    // Start the handler before publishing the connection: a concurrent
-    // Shutdown() drain pops whatever is in conns_ and joins it, so an
-    // entry must never be visible with its thread member still
-    // unassigned (the drain would see joinable()==false and destroy the
-    // Connection out from under this assignment). A connection accepted
-    // while the first drain runs is published after it, and the second
-    // drain — after this loop is joined — reaps it.
-    raw->thread = std::thread([this, raw] { HandleConnection(raw); });
-    {
-      MutexLock lock(&conns_mu_);
-      conns_.push_back(std::move(conn));
     }
   }
+}
+
+Status Server::AddConnection(int fd) {
+  // The refusal check, the thread start and the publication share one
+  // critical section with the drain's pop: Shutdown() raises `refusing_`
+  // before it first takes conns_mu_, so a connection is either refused
+  // here or visible to the drain with its thread already assigned
+  // (never joinable()==false while the drain could pop it).
+  MutexLock lock(&conns_mu_);
+  if (refusing_.load(std::memory_order_acquire)) {
+    return Status::Cancelled("server shutting down");
+  }
+  auto conn = std::make_unique<Connection>();
+  conn->fd = fd;
+  Connection* raw = conn.get();
+  raw->thread = std::thread([this, raw] { HandleConnection(raw); });
+  conns_.push_back(std::move(conn));
+  return Status::OK();
 }
 
 void Server::HandleConnection(Connection* conn) {
@@ -884,6 +899,12 @@ Result<std::string> Server::HandleCommand(Session& session,
     // The rest of the line (including newlines) is the rule text.
     const size_t pos = line.find(".rule");
     std::string rule_text = line.substr(pos + 5);
+    // A trailing ';' ends the shell statement; it is not rule text.
+    while (!rule_text.empty() &&
+           (isspace(static_cast<unsigned char>(rule_text.back())) ||
+            rule_text.back() == ';')) {
+      rule_text.pop_back();
+    }
     Status st = session.rules->DefineRule(rule_text);
     if (!st.ok()) return st;
     return std::string("rule defined");

@@ -3,7 +3,9 @@
 //
 // Architecture:
 //  - one accept thread multiplexing the listen socket and a self-pipe
-//    (the async-signal-safe shutdown wake-up);
+//    (the async-signal-safe shutdown wake-up); a server made by
+//    StartLocal() has neither and serves only the in-process sessions
+//    ConnectLocal() opens over AF_UNIX socketpairs;
 //  - one thread per connection running a strict request/response loop;
 //  - a SessionManager giving each connection its own rule catalog,
 //    rewrite settings, prepared statements, and (optionally) a pinned
@@ -57,6 +59,8 @@
 
 namespace rfid::server {
 
+class Client;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = pick an ephemeral port; the bound port is available via port().
@@ -79,6 +83,14 @@ class Server {
   /// is serving when this returns.
   static Result<std::unique_ptr<Server>> Start(ServerOptions options);
 
+  /// Makes a server that listens on no port (`host` and `port` are
+  /// ignored): its only sessions are the in-process ones ConnectLocal()
+  /// opens. The embedded rfidsql shell runs on one, so a local shell
+  /// shares the server's dispatcher and query path without exposing the
+  /// database to other local users. Stop it with Shutdown() (or by
+  /// destroying it); WaitForShutdown() is for listening servers.
+  static std::unique_ptr<Server> StartLocal(ServerOptions options);
+
   ~Server();
 
   Server(const Server&) = delete;
@@ -99,6 +111,12 @@ class Server {
   /// every thread, flush the WAL. Idempotent; safe to call concurrently
   /// (late callers block until the drain completes).
   void Shutdown();
+
+  /// Opens an in-process session over an AF_UNIX socketpair: one end is
+  /// served by a connection thread that Shutdown() drains like any TCP
+  /// connection, the other comes back as a handshaken Client. Fails with
+  /// Cancelled once a shutdown has begun.
+  Result<std::unique_ptr<Client>> ConnectLocal();
 
   /// Routes SIGINT / SIGTERM to RequestShutdown() on this server. One
   /// server per process may install handlers at a time.
@@ -140,6 +158,9 @@ class Server {
   Status Listen();
   void AcceptLoop();
   void ReapConnections();
+  /// Starts `fd`'s handler thread and publishes it in conns_, or fails
+  /// once the drain has begun (the caller then still owns `fd`).
+  Status AddConnection(int fd);
   void HandleConnection(Connection* conn);
   /// Handles one request frame; fills the response frame. Returns false
   /// when the connection should close after the response (QUIT).

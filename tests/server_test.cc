@@ -532,5 +532,49 @@ TEST_F(ServerTest, ShutdownFlushesWalForRestartRecovery) {
   EXPECT_GT(rows->rows[0][0].int64_value(), 0);
 }
 
+TEST_F(ServerTest, LocalSessionsShareOneServerWithoutAPort) {
+  server_ = Server::StartLocal(ServerOptions());
+  EXPECT_EQ(server_->port(), 0);  // StartLocal never binds
+  auto a = server_->ConnectLocal();
+  auto b = server_->ConnectLocal();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_NE((*a)->session_id(), (*b)->session_id());
+  EXPECT_EQ(server_->active_sessions(), 2);
+
+  // One database, one catalog per session: b sees a's data, not a's rule.
+  ASSERT_TRUE((*a)->Command(".gen 2 10").ok());
+  auto defined = (*a)->Command(
+      ".rule DEFINE duplicate ON caseR CLUSTER BY epc SEQUENCE BY rtime "
+      "AS (A, B) WHERE A.biz_loc = B.biz_loc ACTION DELETE B;");
+  ASSERT_TRUE(defined.ok()) << defined.status().ToString();
+  auto rules_a = (*a)->Command(".rules");
+  auto rules_b = (*b)->Command(".rules");
+  ASSERT_TRUE(rules_a.ok() && rules_b.ok());
+  EXPECT_NE(rules_a->find("(1 rule)"), std::string::npos) << *rules_a;
+  EXPECT_NE(rules_b->find("(0 rules)"), std::string::npos) << *rules_b;
+  auto cleansed = (*a)->Query("SELECT count(*) FROM caseR");
+  auto raw = (*b)->Query("SELECT count(*) FROM caseR");
+  ASSERT_TRUE(cleansed.ok() && raw.ok());
+  EXPECT_LT(cleansed->rows[0][0].int64_value(), raw->rows[0][0].int64_value());
+  EXPECT_TRUE((*a)->Quit().ok());
+  EXPECT_TRUE((*b)->Quit().ok());
+}
+
+TEST_F(ServerTest, ShutdownDrainsLocalSessionsAndRefusesNewOnes) {
+  server_ = Server::StartLocal(ServerOptions());
+  auto client = server_->ConnectLocal();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->Command(".gen 1 10").ok());
+  // The session is still open: the drain must end its connection thread
+  // rather than wait for a QUIT that never comes.
+  server_->Shutdown();
+  EXPECT_TRUE(server_->final_flush_status().ok());
+  EXPECT_FALSE((*client)->Query("SELECT count(*) FROM caseR").ok());
+  auto late = server_->ConnectLocal();
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
+}
+
 }  // namespace
 }  // namespace rfid
